@@ -50,9 +50,9 @@
 //! for dispatches aborted mid-node (exceptions, alias restarts) the
 //! trailing node is approximated as fully executed.
 //!
-//! Attribution is **engine-independent**: the packed and tree engines
-//! record identical visit traces (`tests/profile.rs` pins equality of
-//! whole profiles, floating point included).
+//! Attribution does not perturb execution: the profiled packed engine
+//! retires the same architected state and [`RunStats`] as the
+//! unprofiled one (`tests/profile.rs` pins it on every workload).
 
 use crate::engine::GroupCode;
 use crate::stats::RunStats;

@@ -37,6 +37,13 @@ scripts/check_doc_links.py README.md docs/*.md
 # bench harnesses compiling and their correctness asserts honest.
 cargo test -q -p daisy-bench --benches
 
+# Benchmark compile-and-smoke: perfbench/ is its own Cargo workspace,
+# so nothing above compiles it. One smoke-sized pass of every
+# benchmark workload (untraced and traced) must build against the
+# current crates, fail no op and emit exactly the metrics
+# BENCHMARK.json declares; a deliberately corrupted op must fail.
+python3 perfbench/selftest.py
+
 # Cross-ISA differential smoke: the same algorithms on the PowerPC and
 # RV32 guests, each through translation and its interpreter oracle,
 # must agree bit-exactly (scalar results and, for hist, counter

@@ -1,20 +1,20 @@
 //! The packed execution format is an *observation-preserving* lowering:
-//! running any program with the packed engine must be indistinguishable
-//! from the reference tree-walking engine — same architected state,
-//! same memory image, same [`RunStats`] (to the counter), and the same
-//! structured [`TraceEvent`] sequence. These tests pin that equivalence
-//! over randomized programs and over the packed form of the chain-link
-//! protocol (slot-indexed links must still sever on invalidation).
+//! running any program with the packed engine must leave exactly the
+//! architected state and memory image the reference interpreter
+//! (`Cpu::run`) leaves. These tests pin that over randomized programs,
+//! under fault injection, on all nine paper workloads, and over the
+//! packed form of the chain-link protocol (slot-indexed links must
+//! still sever on invalidation).
 
 use daisy::sched::TranslatorConfig;
 use daisy::stats::RunStats;
 use daisy::system::DaisySystem;
-use daisy::trace::{RingSink, TraceEvent};
 use daisy_cachesim::Hierarchy;
 use daisy_ppc::asm::{Asm, Program};
 use daisy_ppc::encode::encode;
 use daisy_ppc::insn::{bo, Insn};
-use daisy_ppc::interp::StopReason;
+use daisy_ppc::interp::{Cpu, StopReason};
+use daisy_ppc::mem::Memory;
 use daisy_ppc::reg::{CrBit, CrField, Gpr};
 use daisy_ppc::PpcIsa;
 use daisy_vliw::machine::MachineConfig;
@@ -184,61 +184,60 @@ fn emit(a: &mut Asm, steps: &[Step]) {
     a.sc();
 }
 
-/// A finished run: the system plus its captured trace.
-type TracedRun = (DaisySystem<PpcIsa>, Vec<TraceEvent>);
+/// Pre-fills the data window and seeds the first twelve GPRs — the
+/// same initial state for every run of a program.
+fn seed_state(mem: &mut Memory, cpu: &mut Cpu, seeds: &[u32]) {
+    for i in 0..SLOTS {
+        mem.write_u32(DATA + 4 * i, i.wrapping_mul(0x9E37_79B9)).unwrap();
+    }
+    for (i, s) in seeds.iter().enumerate().take(12) {
+        cpu.gpr[i] = *s;
+    }
+}
 
-/// Runs one program under both engines — identical systems except for
-/// `packed_execution` — returning `(tree, packed)` with their traces.
-fn run_twins(
+/// Runs one program on the packed engine and on the reference
+/// interpreter from identical initial state, returning
+/// `(packed system, (oracle cpu, oracle memory))`.
+fn run_against_oracle(
     prog: &Program,
     seeds: &[u32],
     cfg: TranslatorConfig,
     cache: &Hierarchy,
-) -> (TracedRun, TracedRun) {
-    let run = |packed: bool| {
-        let sink = RingSink::new(1 << 16);
-        let mut sys = DaisySystem::<PpcIsa>::builder()
-            .mem_size(0x2_0000)
-            .translator(cfg.clone())
-            .cache(cache.clone())
-            .packed_execution(packed)
-            .trace_sink(sink.clone())
-            .build();
-        sys.load(prog).unwrap();
-        for i in 0..SLOTS {
-            sys.mem.write_u32(DATA + 4 * i, i.wrapping_mul(0x9E37_79B9)).unwrap();
-        }
-        for (i, s) in seeds.iter().enumerate().take(12) {
-            sys.cpu.gpr[i] = *s;
-        }
-        let stop = sys.run(100_000_000).unwrap();
-        assert_eq!(stop, StopReason::Syscall);
-        assert_eq!(sink.dropped(), 0, "trace ring overflowed; grow the cap");
-        (sys, sink.events())
-    };
-    (run(false), run(true))
+) -> (DaisySystem<PpcIsa>, (Cpu, Memory)) {
+    let mut sys = DaisySystem::<PpcIsa>::builder()
+        .mem_size(0x2_0000)
+        .translator(cfg)
+        .cache(cache.clone())
+        .build();
+    sys.load(prog).unwrap();
+    seed_state(&mut sys.mem, &mut sys.cpu, seeds);
+    let stop = sys.run(100_000_000).unwrap();
+    assert_eq!(stop, StopReason::Syscall);
+
+    let mut mem = Memory::new(0x2_0000);
+    prog.load_into(&mut mem).unwrap();
+    let mut cpu = Cpu::new(prog.entry);
+    seed_state(&mut mem, &mut cpu, seeds);
+    let stop = cpu.run(&mut mem, 1_000_000).unwrap();
+    assert_eq!(stop, StopReason::Syscall);
+    (sys, (cpu, mem))
 }
 
-/// Every observation the two engines make must agree.
-fn assert_indistinguishable(
-    (tree, tree_ev): &(DaisySystem<PpcIsa>, Vec<TraceEvent>),
-    (packed, packed_ev): &(DaisySystem<PpcIsa>, Vec<TraceEvent>),
-    ctx: &str,
-) {
-    assert_eq!(packed.cpu.gpr, tree.cpu.gpr, "{ctx}: GPRs diverged");
-    assert_eq!(packed.cpu.cr, tree.cpu.cr, "{ctx}: CR diverged");
-    assert_eq!(packed.cpu.lr, tree.cpu.lr, "{ctx}: LR diverged");
-    assert_eq!(packed.cpu.ctr, tree.cpu.ctr, "{ctx}: CTR diverged");
-    assert_eq!(packed.cpu.xer, tree.cpu.xer, "{ctx}: XER diverged");
-    assert_eq!(packed.cpu.pc, tree.cpu.pc, "{ctx}: PC diverged");
-    let size = tree.mem.size();
+/// The packed run must leave exactly the oracle's architected state
+/// and memory image.
+fn assert_matches_oracle(packed: &DaisySystem<PpcIsa>, (cpu, mem): &(Cpu, Memory), ctx: &str) {
+    assert_eq!(packed.cpu.gpr, cpu.gpr, "{ctx}: GPRs diverged");
+    assert_eq!(packed.cpu.cr, cpu.cr, "{ctx}: CR diverged");
+    assert_eq!(packed.cpu.lr, cpu.lr, "{ctx}: LR diverged");
+    assert_eq!(packed.cpu.ctr, cpu.ctr, "{ctx}: CTR diverged");
+    assert_eq!(packed.cpu.xer, cpu.xer, "{ctx}: XER diverged");
+    assert_eq!(packed.cpu.pc, cpu.pc, "{ctx}: PC diverged");
+    let size = mem.size();
     assert_eq!(
         packed.mem.read_bytes(0, size).unwrap(),
-        tree.mem.read_bytes(0, size).unwrap(),
+        mem.read_bytes(0, size).unwrap(),
         "{ctx}: memory image diverged"
     );
-    assert_eq!(packed.stats, tree.stats, "{ctx}: RunStats diverged");
-    assert_eq!(packed_ev, tree_ev, "{ctx}: trace event sequences diverged");
 }
 
 proptest! {
@@ -246,25 +245,24 @@ proptest! {
 
     /// Default machine, infinite cache: random programs.
     #[test]
-    fn packed_engine_is_observably_the_tree_engine(
+    fn packed_engine_matches_interpreter(
         steps in prop::collection::vec(step(), 1..40),
         seeds in prop::collection::vec(any::<u32>(), 12),
     ) {
         let mut a = Asm::new(0x1000);
         emit(&mut a, &steps);
         let prog = a.finish().expect("generated program assembles");
-        let (tree, packed) =
-            run_twins(&prog, &seeds, TranslatorConfig::default(), &Hierarchy::infinite());
-        assert_indistinguishable(&tree, &packed, "default config");
+        let (packed, oracle) =
+            run_against_oracle(&prog, &seeds, TranslatorConfig::default(), &Hierarchy::infinite());
+        assert_matches_oracle(&packed, &oracle, "default config");
     }
 
-    /// Injection equivalence: randomized programs under identical
-    /// fault-injection campaigns must stay bit-exact against the
-    /// interpreter oracle on BOTH engines — the packed lowering adds no
-    /// new failure modes under adversarial perturbation. (Equivalence
-    /// between the engines follows transitively through the oracle.)
+    /// Injection equivalence: randomized programs under fault-injection
+    /// campaigns must stay bit-exact against the interpreter oracle on
+    /// the packed engine — the packed lowering adds no failure modes
+    /// under adversarial perturbation.
     #[test]
-    fn packed_engine_survives_injection_like_the_tree_engine(
+    fn packed_engine_survives_injection(
         steps in prop::collection::vec(step(), 1..20),
         seed in 0u64..1024,
     ) {
@@ -274,20 +272,15 @@ proptest! {
         emit(&mut a, &steps);
         let prog = a.finish().expect("generated program assembles");
         for kind in [FaultKind::IllegalOp, FaultKind::InterruptStorm, FaultKind::ChainSever] {
-            for packed in [false, true] {
-                let cfg = CampaignConfig { packed, ..CampaignConfig::new(kind, seed) };
-                run_campaign_on_program::<PpcIsa>(&prog, 0x2_0000, 1_000_000, &cfg).unwrap_or_else(|e| {
-                    panic!("injection broke the {} engine: {e}",
-                        if packed { "packed" } else { "tree" })
-                });
-            }
+            let cfg = CampaignConfig::new(kind, seed);
+            run_campaign_on_program::<PpcIsa>(&prog, 0x2_0000, 1_000_000, &cfg)
+                .unwrap_or_else(|e| panic!("injection broke the packed engine: {e}"));
         }
     }
 
     /// The smallest paper machine, tiny translation pages, and a
     /// *finite* cache hierarchy: exercises VLIW splitting, cross-page
-    /// dispatch, and the per-access cache-probe paths of both engines
-    /// (stall cycles must agree to the cycle).
+    /// dispatch, and the packed engine's per-access cache-probe paths.
     #[test]
     fn packed_engine_matches_on_small_machine_finite_cache(
         steps in prop::collection::vec(step(), 1..24),
@@ -301,43 +294,39 @@ proptest! {
         let mut a = Asm::new(0x1000);
         emit(&mut a, &steps);
         let prog = a.finish().expect("generated program assembles");
-        let (tree, packed) = run_twins(&prog, &seeds, cfg, &Hierarchy::paper_default());
-        assert_indistinguishable(&tree, &packed, "4-issue, 256-byte pages, finite cache");
+        let (packed, oracle) = run_against_oracle(&prog, &seeds, cfg, &Hierarchy::paper_default());
+        assert_matches_oracle(&packed, &oracle, "4-issue, 256-byte pages, finite cache");
     }
 }
 
-/// All nine paper workloads, packed vs tree: the guest-visible results
-/// must be bit-exact and every runtime counter identical. This is the
-/// acceptance bar for the packed format stated directly as a test.
+/// All nine paper workloads, packed engine vs the reference
+/// interpreter: architected state and memory must be bit-exact and
+/// each workload's own result check must pass. This is the acceptance
+/// bar for the packed format stated directly as a test.
 #[test]
 fn workloads_bit_exact_across_engines() {
     for w in daisy_workloads::all() {
         let prog = w.program();
-        let run = |packed: bool| {
-            let mut sys = DaisySystem::<PpcIsa>::builder()
-                .mem_size(w.mem_size)
-                .packed_execution(packed)
-                .build();
-            sys.load(&prog).unwrap();
-            let stop = sys.run(50 * w.max_instrs).unwrap();
-            assert_eq!(stop, StopReason::Syscall, "{}: did not finish", w.name);
-            w.check(&sys.cpu, &sys.mem).unwrap_or_else(|e| {
-                panic!("{} (packed={packed}): wrong guest result: {e}", w.name)
-            });
-            sys
-        };
-        let tree = run(false);
-        let packed = run(true);
-        assert_eq!(packed.cpu.gpr, tree.cpu.gpr, "{}: GPRs diverged", w.name);
-        assert_eq!(packed.cpu.pc, tree.cpu.pc, "{}: PC diverged", w.name);
-        assert_eq!(packed.stats, tree.stats, "{}: RunStats diverged", w.name);
+        let mut sys = DaisySystem::<PpcIsa>::builder().mem_size(w.mem_size).build();
+        sys.load(&prog).unwrap();
+        let stop = sys.run(50 * w.max_instrs).unwrap();
+        assert_eq!(stop, StopReason::Syscall, "{}: did not finish", w.name);
+        w.check(&sys.cpu, &sys.mem)
+            .unwrap_or_else(|e| panic!("{}: wrong guest result: {e}", w.name));
+
+        let mut mem = Memory::new(w.mem_size);
+        prog.load_into(&mut mem).unwrap();
+        let mut cpu = Cpu::new(prog.entry);
+        let stop = cpu.run(&mut mem, w.max_instrs).unwrap();
+        assert_eq!(stop, StopReason::Syscall, "{}: reference run did not finish", w.name);
+        assert_matches_oracle(&sys, &(cpu, mem), w.name);
     }
 }
 
 /// The packed chain-link protocol under self-modifying code: links are
 /// installed against packed slot indices, and invalidating the patch
-/// page must sever them before the next dispatch — in lockstep with the
-/// tree engine's counters.
+/// page must sever them before the next dispatch — with the final
+/// state still matching the reference interpreter.
 #[test]
 fn packed_links_sever_on_invalidation() {
     const PAGE: u32 = 256;
@@ -375,20 +364,17 @@ fn packed_links_sever_on_invalidation() {
     let prog = a.finish().expect("selfmod program assembles");
 
     let cfg = TranslatorConfig { page_size: PAGE, ..TranslatorConfig::default() };
-    let run = |packed: bool| {
-        let mut sys = DaisySystem::<PpcIsa>::builder()
-            .mem_size(0x2_0000)
-            .translator(cfg.clone())
-            .chaining(true)
-            .packed_execution(packed)
-            .build();
-        sys.load(&prog).unwrap();
-        let stop = sys.run(10_000_000).unwrap();
-        assert_eq!(stop, StopReason::Syscall);
-        sys
-    };
-    let tree = run(false);
-    let packed = run(true);
+    let mut packed =
+        DaisySystem::<PpcIsa>::builder().mem_size(0x2_0000).translator(cfg).chaining(true).build();
+    packed.load(&prog).unwrap();
+    let stop = packed.run(10_000_000).unwrap();
+    assert_eq!(stop, StopReason::Syscall);
+
+    let mut mem = Memory::new(0x2_0000);
+    prog.load_into(&mut mem).unwrap();
+    let mut cpu = Cpu::new(prog.entry);
+    let stop = cpu.run(&mut mem, 1_000_000).unwrap();
+    assert_eq!(stop, StopReason::Syscall);
 
     let want: u32 = imms.iter().map(|&i| i as u32).sum();
     assert_eq!(packed.cpu.gpr[7], want, "accumulator saw a stale patch");
@@ -398,13 +384,12 @@ fn packed_links_sever_on_invalidation() {
         "invalidating the patch page must sever packed slot links; stats: {:?}",
         packed.stats.chain
     );
-    assert_eq!(packed.stats, tree.stats, "selfmod: RunStats diverged across engines");
-    assert_eq!(packed.cpu.gpr, tree.cpu.gpr, "selfmod: GPRs diverged across engines");
+    assert_matches_oracle(&packed, &(cpu, mem), "selfmod");
 }
 
-/// `RunStats` equality in these tests is meaningful only if the type
-/// actually compares every counter; guard against a field being dropped
-/// from the comparison by a future manual `PartialEq` impl.
+/// `RunStats` equality elsewhere in the suite is meaningful only if the
+/// type actually compares every counter; guard against a field being
+/// dropped from the comparison by a future manual `PartialEq` impl.
 #[test]
 fn runstats_equality_covers_counters() {
     let mut a = RunStats::default();
